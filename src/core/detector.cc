@@ -4,8 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/timer.h"
 
 namespace rumba::core {
 
@@ -16,9 +14,7 @@ Detector::Detector(std::unique_ptr<predict::ErrorPredictor> predictor,
       obs_checks_(obs::Registry::Default().GetCounter("detector.checks")),
       obs_fires_(obs::Registry::Default().GetCounter("detector.fires")),
       obs_non_finite_(
-          obs::Registry::Default().GetCounter("detector.non_finite")),
-      obs_check_ns_(
-          obs::Registry::Default().GetHistogram("detector.check_ns"))
+          obs::Registry::Default().GetCounter("detector.non_finite"))
 {
     RUMBA_CHECK(predictor_ != nullptr);
 }
@@ -27,8 +23,34 @@ CheckResult
 Detector::Check(const std::vector<double>& inputs,
                 const std::vector<double>& approx_outputs)
 {
-    const obs::ScopedTimer timer(obs_check_ns_);
-    const obs::Span span("detector.check");
+    const CheckResult result = Evaluate(inputs, approx_outputs);
+    Publish(1, result.fired ? 1 : 0, result.non_finite ? 1 : 0);
+    return result;
+}
+
+void
+Detector::CheckBatch(const double* inputs, size_t in_width,
+                     const double* approx_outputs, size_t out_width,
+                     size_t count, CheckResult* results)
+{
+    size_t fired = 0;
+    size_t non_finite = 0;
+    for (size_t i = 0; i < count; ++i) {
+        row_in_.assign(inputs + i * in_width,
+                       inputs + (i + 1) * in_width);
+        row_out_.assign(approx_outputs + i * out_width,
+                        approx_outputs + (i + 1) * out_width);
+        results[i] = Evaluate(row_in_, row_out_);
+        fired += results[i].fired ? 1 : 0;
+        non_finite += results[i].non_finite ? 1 : 0;
+    }
+    Publish(count, fired, non_finite);
+}
+
+CheckResult
+Detector::Evaluate(const std::vector<double>& inputs,
+                   const std::vector<double>& approx_outputs)
+{
     CheckResult result;
 
     // Non-finite guard: a NaN/Inf anywhere in the element means the
@@ -47,25 +69,26 @@ Detector::Check(const std::vector<double>& inputs,
         result.predicted_error = threshold_;
         result.fired = true;
         result.non_finite = true;
-        ++checks_;
-        ++fired_;
-        ++non_finite_;
-        obs_checks_->Increment();
-        obs_fires_->Increment();
-        obs_non_finite_->Increment();
         return result;
     }
 
     result.predicted_error =
         predictor_->PredictError(inputs, approx_outputs);
     result.fired = result.predicted_error >= threshold_;
-    ++checks_;
-    obs_checks_->Increment();
-    if (result.fired) {
-        ++fired_;
-        obs_fires_->Increment();
-    }
     return result;
+}
+
+void
+Detector::Publish(size_t checks, size_t fired, size_t non_finite)
+{
+    checks_ += checks;
+    fired_ += fired;
+    non_finite_ += non_finite;
+    obs_checks_->Increment(checks);
+    if (fired > 0)
+        obs_fires_->Increment(fired);
+    if (non_finite > 0)
+        obs_non_finite_->Increment(non_finite);
 }
 
 }  // namespace rumba::core

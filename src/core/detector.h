@@ -10,12 +10,12 @@
  */
 
 #include <memory>
+#include <vector>
 
 #include "predict/predictor.h"
 
 namespace rumba::obs {
 class Counter;
-class Histogram;
 }  // namespace rumba::obs
 
 namespace rumba::core {
@@ -47,6 +47,18 @@ class Detector {
     CheckResult Check(const std::vector<double>& inputs,
                       const std::vector<double>& approx_outputs);
 
+    /**
+     * Check() over @p count elements in order: element i's inputs are
+     * the @p in_width values at inputs + i * in_width, its approximate
+     * outputs the @p out_width values at approx_outputs + i *
+     * out_width; its result lands in results[i]. Verdicts and
+     * sequential predictor state are those of @p count Check() calls;
+     * the shared check/fire counters are published once per batch.
+     */
+    void CheckBatch(const double* inputs, size_t in_width,
+                    const double* approx_outputs, size_t out_width,
+                    size_t count, CheckResult* results);
+
     /** Current tuning threshold. */
     double Threshold() const { return threshold_; }
 
@@ -75,16 +87,25 @@ class Detector {
     size_t NonFiniteChecks() const { return non_finite_; }
 
   private:
+    /** One check, without touching any counter. */
+    CheckResult Evaluate(const std::vector<double>& inputs,
+                         const std::vector<double>& approx_outputs);
+
+    /** Add checks, fires and non-finite fires to the counters. */
+    void Publish(size_t checks, size_t fired, size_t non_finite);
+
     std::unique_ptr<predict::ErrorPredictor> predictor_;
     double threshold_;
     size_t checks_ = 0;
     size_t fired_ = 0;
     size_t non_finite_ = 0;
-    /** Process-wide telemetry: check/fire counts and check latency. */
+    /** CheckBatch() staging: the predictor takes element vectors. */
+    std::vector<double> row_in_;
+    std::vector<double> row_out_;
+    /** Process-wide telemetry: check/fire counts. */
     obs::Counter* obs_checks_;
     obs::Counter* obs_fires_;
     obs::Counter* obs_non_finite_;
-    obs::Histogram* obs_check_ns_;
 };
 
 }  // namespace rumba::core

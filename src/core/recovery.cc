@@ -139,16 +139,18 @@ ExactReexecutor::AggregateError(
 }
 
 void
-RecoveryModule::RecordQueueFullStall()
+RecoveryModule::RecordQueueFullStalls(size_t count)
 {
-    obs_queue_full_stalls_->Increment();
+    if (count > 0)
+        obs_queue_full_stalls_->Increment(count);
 }
 
 void
-RecoveryModule::RecordQueueDrop()
+RecoveryModule::RecordQueueDrops(size_t count)
 {
-    ++queue_drops_;
-    obs_queue_drops_->Increment();
+    queue_drops_ += count;
+    if (count > 0)
+        obs_queue_drops_->Increment(count);
 }
 
 }  // namespace rumba::core

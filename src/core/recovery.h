@@ -124,21 +124,22 @@ class RecoveryModule {
     size_t TotalCompensations() const { return compensations_; }
 
     /**
-     * Record one queue-full backpressure stall (the detector side had
-     * to force a drain before it could push). Feeds the
+     * Record @p count queue-full backpressure stalls (the detector side
+     * had to force a drain before it could push). Feeds the
      * recovery.queue_full_stalls telemetry counter.
      */
-    void RecordQueueFullStall();
+    void RecordQueueFullStalls(size_t count);
 
     /**
-     * Record one dropped recovery entry: the queue was full and the
-     * CPU-side drain was unavailable, so the flagged iteration keeps
-     * its approximate result. Drop-and-count is the defined overflow
-     * policy — the loss is visible in the rumba.recovery.queue_drops
-     * counter (registered as "recovery.queue_drops") and in the
-     * invocation trace, never silent.
+     * Record @p count dropped recovery entries: the queue was full and
+     * the CPU-side drain was unavailable, so the flagged iterations
+     * keep their approximate results. Drop-and-count is the defined
+     * overflow policy — the loss is visible in the
+     * rumba.recovery.queue_drops counter (registered as
+     * "recovery.queue_drops") and in the invocation trace, never
+     * silent.
      */
-    void RecordQueueDrop();
+    void RecordQueueDrops(size_t count);
 
     /** Entries dropped on overflow since construction. */
     size_t QueueDrops() const { return queue_drops_; }

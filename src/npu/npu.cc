@@ -6,9 +6,6 @@
 #include "common/logging.h"
 #include "fault/injector.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/span.h"
-#include "obs/timer.h"
 
 namespace rumba::npu {
 
@@ -48,9 +45,7 @@ Npu::Npu(const NpuConfig& config)
       tanh_lut_(nn::Activation::kTanh, config.lut_entries, config.lut_range,
                 config.format),
       obs_invocations_(
-          obs::Registry::Default().GetCounter("npu.invocations")),
-      obs_invoke_ns_(
-          obs::Registry::Default().GetHistogram("npu.invoke_ns"))
+          obs::Registry::Default().GetCounter("npu.invocations"))
 {
     RUMBA_CHECK(config.num_pes > 0);
 }
@@ -98,23 +93,33 @@ Npu::Invoke(const std::vector<double>& input,
     RUMBA_CHECK(Configured());
     RUMBA_CHECK(input.size() == topology_.NumInputs());
     RUMBA_CHECK(output != nullptr);
-    const obs::ScopedTimer timer(obs_invoke_ns_);
-    const obs::Span span("npu.invoke");
-    // Sampling-profiler tag (obs/profiler.h): any caller — the
-    // runtime's stream loop, calibration replay, the trainer — shows
-    // as "device" in folded stacks. Elided when the caller already
-    // tagged device, so no "device;device" frames.
-    const obs::StageScope device_tag(obs::ProfileStage::kDevice);
+    output->resize(topology_.NumOutputs());
+    Forward(input.data(), output->data());
     obs_invocations_->Increment();
+}
 
+void
+Npu::InvokeBatch(const double* inputs, size_t count, double* outputs)
+{
+    RUMBA_CHECK(Configured());
+    const size_t in_w = topology_.NumInputs();
+    const size_t out_w = topology_.NumOutputs();
+    for (size_t i = 0; i < count; ++i)
+        Forward(inputs + i * in_w, outputs + i * out_w);
+    obs_invocations_->Increment(count);
+}
+
+void
+Npu::Forward(const double* input, double* out)
+{
     // Stream inputs in through the input queue, quantizing at the
     // interface.
+    const size_t in_w = topology_.NumInputs();
     std::vector<int16_t>& current = scratch_current_;
-    current.clear();
-    current.reserve(input.size());
-    for (double v : input)
-        current.push_back(config_.format.Quantize(v));
-    stats_.input_words += input.size();
+    current.resize(in_w);
+    for (size_t i = 0; i < in_w; ++i)
+        current[i] = config_.format.Quantize(input[i]);
+    stats_.input_words += in_w;
 
     // Hoist the per-invocation fault gates: a disarmed injector costs
     // one relaxed load; armed classes pay their per-opportunity draw.
@@ -168,11 +173,8 @@ Npu::Invoke(const std::vector<double>& input,
     stats_.cycles += schedule_.total_cycles;
     ++stats_.invocations;
 
-    std::vector<double>& out = *output;
-    out.clear();
-    out.reserve(current.size());
-    for (int16_t q : current)
-        out.push_back(config_.format.Dequantize(q));
+    for (size_t o = 0; o < current.size(); ++o)
+        out[o] = config_.format.Dequantize(current[o]);
 
     // Output-interface corruption: a misbehaving accelerator can hand
     // the host NaN, Inf, or a stuck constant instead of its result.
@@ -186,7 +188,8 @@ Npu::Invoke(const std::vector<double>& input,
             injector.Enabled(fault::FaultClass::kNpuOutputInf);
         const bool stuck_on =
             injector.Enabled(fault::FaultClass::kNpuOutputStuck);
-        for (double& v : out) {
+        for (size_t o = 0; o < current.size(); ++o) {
+            double& v = out[o];
             if (nan_on &&
                 injector.ShouldInject(fault::FaultClass::kNpuOutputNan)) {
                 v = std::numeric_limits<double>::quiet_NaN();

@@ -20,7 +20,6 @@
 
 namespace rumba::obs {
 class Counter;
-class Histogram;
 }  // namespace rumba::obs
 
 namespace rumba::npu {
@@ -78,6 +77,15 @@ class Npu {
     void Invoke(const std::vector<double>& input,
                 std::vector<double>* output);
 
+    /**
+     * Invoke() over @p count elements stored back to back: @p inputs
+     * holds count x NumInputs() normalized values, @p outputs receives
+     * count x NumOutputs(). Results, event counters and fault draws
+     * are those of @p count Invoke() calls in element order; the
+     * `npu.invocations` counter is published once per batch.
+     */
+    void InvokeBatch(const double* inputs, size_t count, double* outputs);
+
     /** Latency of one invocation in accelerator cycles. */
     size_t CyclesPerInvocation() const { return schedule_.total_cycles; }
 
@@ -103,6 +111,10 @@ class Npu {
     size_t NumOutputs() const;
 
   private:
+    /** The fixed-point datapath for one element: NumInputs() values
+     *  in, NumOutputs() values out. Updates stats_, publishes nothing. */
+    void Forward(const double* input, double* output);
+
     /** Quantized mirror of one nn::Layer. */
     struct QuantLayer {
         size_t in = 0;
@@ -121,10 +133,8 @@ class Npu {
     /** Datapath scratch reused across invocations (see Invoke). */
     std::vector<int16_t> scratch_current_;
     std::vector<int16_t> scratch_next_;
-    /** Process-wide telemetry (obs/metrics.h): invocation count and
-     *  per-invoke wall-clock latency. */
+    /** Process-wide telemetry (obs/metrics.h): invocation count. */
     obs::Counter* obs_invocations_;
-    obs::Histogram* obs_invoke_ns_;
 };
 
 }  // namespace rumba::npu

@@ -23,10 +23,12 @@ namespace rumba::serve {
 
 namespace {
 
-/** Immediately-resolved future for requests that never enqueue. */
+/** Immediately-resolved future for requests that never enqueue,
+ *  stamped with the refusal time. */
 std::future<InvocationResult>
 Resolved(InvocationResult result)
 {
+    result.done_ns = obs::NowNs();
     std::promise<InvocationResult> promise;
     std::future<InvocationResult> future = promise.get_future();
     promise.set_value(std::move(result));
@@ -87,12 +89,9 @@ ShardedEngine::Create(const core::Artifact& artifact,
             "queue_capacity 0 would reject every submission");
     }
 
-    // Request tracing needs per-stage wall clock from every replica;
+    // Cost profiling needs per-stage thread CPU from every replica;
     // everything else in the runtime config passes through untouched.
     core::RuntimeConfig shard_runtime_config = runtime_config;
-    if (serve_config.trace.enabled)
-        shard_runtime_config.stage_timings = true;
-    // Cost profiling needs per-stage thread CPU from every replica.
     if (serve_config.profile.enabled)
         shard_runtime_config.cpu_attribution = true;
 
@@ -563,6 +562,8 @@ ShardedEngine::Resume()
 void
 ShardedEngine::FinishOne(Pending* pending, InvocationResult result)
 {
+    if (result.done_ns == 0)  // refused after queueing: stamp it now.
+        result.done_ns = obs::NowNs();
     pending->promise.set_value(std::move(result));
     {
         std::lock_guard<std::mutex> lock(drain_mu_);
@@ -889,11 +890,11 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
 
     const uint32_t breaker_state =
         static_cast<uint32_t>(report.breaker_state);
-    const uint64_t device_only_ns =
-        report.timings.accel_stream_ns - report.timings.check_ns +
-        config_.emulated_device_ns * total;
-    const uint64_t recover_ns =
-        report.timings.recover_ns + report.timings.exact_ns;
+    const uint64_t device_ns =
+        report.timings.device_ns + config_.emulated_device_ns * total;
+    const uint64_t recover_ns = report.timings.recover_ns +
+                                report.timings.compensate_ns +
+                                report.timings.exact_ns;
     // Per-invocation quality SLO event: one verified error per batch.
     // Degraded invocations skip the verify pass, so they have no
     // proxy error to judge — their quality is protected by the
@@ -920,6 +921,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         result.shard = shard_index;
         result.report = report;
         result.report.elements = count;
+        result.done_ns = done_ns;
         const uint64_t merge_start_ns = obs::NowNs();
         {
             const obs::StageScope merge_scope(
@@ -1038,7 +1040,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
             record.enqueue_ns = pending.enqueue_ns;
             record.complete_ns = done_ns;
             record.queue_wait_ns = pickup_ns - pending.enqueue_ns;
-            record.device_ns = device_only_ns;
+            record.device_ns = device_ns;
             record.elements = count;
             record.inputs_digest = inputs_digest;
             record.threshold = report.threshold_used;
@@ -1065,12 +1067,11 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
             trace.spans = {
                 {"queue_wait", pending.enqueue_ns,
                  pickup_ns - pending.enqueue_ns},
-                {"device", pickup_ns, device_only_ns},
-                {"check", pickup_ns + device_only_ns,
+                {"device", pickup_ns, device_ns},
+                {"check", pickup_ns + device_ns,
                  report.timings.check_ns},
                 {"recover",
-                 pickup_ns + device_only_ns +
-                     report.timings.check_ns,
+                 pickup_ns + device_ns + report.timings.check_ns,
                  recover_ns},
                 {"merge", merge_start_ns,
                  merge_end_ns - merge_start_ns},
@@ -1089,8 +1090,7 @@ ShardedEngine::ProcessBatch(Shard& shard, size_t shard_index,
         obs::CpuProfiler::InvocationCpu cpu;
         cpu.queue_wait_ns = shard.queue_wait_cpu_ns;
         shard.queue_wait_cpu_ns = 0;
-        cpu.device_ns = std::max<int64_t>(
-            0, report.cpu.stream_cpu_ns - report.cpu.check_cpu_ns);
+        cpu.device_ns = report.cpu.device_cpu_ns;
         cpu.predict_check_ns = report.cpu.check_cpu_ns;
         cpu.recover_ns =
             report.cpu.recover_cpu_ns + report.cpu.exact_cpu_ns;

@@ -237,6 +237,12 @@ struct InvocationResult {
      *  this request (elements reflects this request's count). */
     core::InvocationReport report;
     size_t shard = 0;  ///< shard that served (or rejected) it.
+    /** obs::NowNs() when the engine finished with the request: the end
+     *  of the invocation that served it, or the moment it was
+     *  refused (rejected, shed, expired, cancelled). Latency measured
+     *  to this stamp does not depend on when the caller collects the
+     *  future. */
+    uint64_t done_ns = 0;
 };
 
 /** N RumbaRuntime replicas behind bounded queues. */

@@ -186,8 +186,7 @@ LoadGenerator::NextGapNs(uint64_t schedule_ns, Rng& rng) const
 
 void
 LoadGenerator::AbsorbLocked(const InFlight& flight,
-                            const InvocationResult& result,
-                            uint64_t resolve_ns)
+                            const InvocationResult& result)
 {
     ClassStats& stats =
         report_.per_class[static_cast<size_t>(flight.quality)];
@@ -201,11 +200,11 @@ LoadGenerator::AbsorbLocked(const InFlight& flight,
           case core::DegradeMode::kSkipRecovery: ++stats.degraded; break;
           case core::DegradeMode::kSkipCheck: ++stats.bypassed; break;
         }
-        const uint64_t latency_ns = resolve_ns > flight.submit_ns
-                                        ? resolve_ns - flight.submit_ns
-                                        : 0;
+        const uint64_t done_ns = result.done_ns;
+        const uint64_t latency_ns =
+            done_ns > flight.submit_ns ? done_ns - flight.submit_ns : 0;
         stats.latencies_ns.push_back(static_cast<double>(latency_ns));
-        if (flight.deadline_ns != 0 && resolve_ns > flight.deadline_ns)
+        if (flight.deadline_ns != 0 && done_ns > flight.deadline_ns)
             ++stats.deadline_misses;
         break;
       }
@@ -329,9 +328,10 @@ LoadGenerator::Run()
         }
         live.push_back(std::move(flight));
 
-        // Opportunistic FIFO harvest keeps the in-flight window (and
-        // the latency-measurement slack) small without ever blocking
-        // the schedule.
+        // Opportunistic FIFO harvest keeps the in-flight window small
+        // without ever blocking the schedule; latency comes from the
+        // engine's completion stamp, so harvest timing does not
+        // enter it.
         while (!live.empty() &&
                live.front().future.wait_for(std::chrono::seconds(0)) ==
                    std::future_status::ready) {
@@ -339,7 +339,7 @@ LoadGenerator::Run()
             live.pop_front();
             const InvocationResult result = done.future.get();
             std::lock_guard<std::mutex> lock(mu_);
-            AbsorbLocked(done, result, obs::NowNs());
+            AbsorbLocked(done, result);
         }
     }
 
@@ -351,7 +351,7 @@ LoadGenerator::Run()
         live.pop_front();
         const InvocationResult result = done.future.get();
         std::lock_guard<std::mutex> lock(mu_);
-        AbsorbLocked(done, result, obs::NowNs());
+        AbsorbLocked(done, result);
     }
     {
         std::lock_guard<std::mutex> lock(mu_);

@@ -140,12 +140,13 @@ struct ClassStats {
     uint64_t rejected = 0;   ///< queue-full backpressure.
     uint64_t cancelled = 0;  ///< engine shut down underneath it.
     uint64_t failed = 0;     ///< any other non-ok status.
-    /** Served requests whose client-observed latency exceeded their
-     *  deadline (the work still completed — it expired in flight
-     *  from the client's point of view, not the queue's). */
+    /** Served requests that completed after their deadline (the
+     *  work still completed — it expired in flight from the client's
+     *  point of view, not the queue's). */
     uint64_t deadline_misses = 0;
-    /** Client-observed submit -> resolution latency of served
-     *  requests (includes harvest-polling granularity). */
+    /** Submit -> completion latency of served requests, up to the
+     *  engine's completion stamp (InvocationResult::done_ns), not to
+     *  when the generator got round to collecting the future. */
     std::vector<double> latencies_ns;
 
     /** Served requests (ok + degraded + compensated + bypassed). */
@@ -218,8 +219,7 @@ class LoadGenerator {
 
     /** Fold one resolved future into the report (mu_ held). */
     void AbsorbLocked(const InFlight& flight,
-                      const InvocationResult& result,
-                      uint64_t resolve_ns);
+                      const InvocationResult& result);
 
     ShardedEngine& engine_;
     const LoadGenConfig config_;

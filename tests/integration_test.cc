@@ -444,15 +444,14 @@ TEST(RuntimeTest, PopulatesTelemetry)
     EXPECT_DOUBLE_EQ(gauges.at("runtime.output_error_pct"),
                      report.output_error_pct);
 
-    // Latency histograms carry sane per-element counts and quantiles.
-    const auto& invoke = histograms.at("npu.invoke_ns");
-    EXPECT_EQ(invoke.count, 250u);
-    EXPECT_GT(invoke.p50, 0.0);
-    EXPECT_LE(invoke.p50, invoke.p99);
+    // Per-element work is counted once per stage, with per-element
+    // totals; latency histograms are per drain and per invocation.
+    EXPECT_EQ(counters.at("npu.invocations"), 250u);
+    EXPECT_EQ(histograms.count("npu.invoke_ns"), 0u);
+    EXPECT_EQ(histograms.count("detector.check_ns"), 0u);
     const auto& drain = histograms.at("recovery.drain_ns");
     EXPECT_GE(drain.count, 1u);
     EXPECT_LE(drain.p50, drain.p99);
-    EXPECT_EQ(histograms.at("detector.check_ns").count, 250u);
     EXPECT_EQ(histograms.at("runtime.invocation_ns").count, 1u);
     EXPECT_EQ(histograms.at("runtime.verify_ns").count, 1u);
 

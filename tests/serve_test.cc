@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -776,47 +777,6 @@ TEST(ShardedEngineTest, BreakerTripAutoDumpsFlightRecorder)
     engine->Shutdown();
 }
 
-// --------------------------------------------- Legacy-overload adapter
-//
-// The only in-tree caller of the deprecated vector-of-vectors
-// ProcessInvocation: it pins the adapter's copy-in/copy-out behavior
-// against the BatchView hot path until the overload is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(BatchViewTest, LegacyProcessInvocationMatchesViewForm)
-{
-    auto via_view = core::RumbaRuntime::FromArtifact(
-        SharedArtifact(), ServeRuntimeConfig());
-    auto via_vectors = core::RumbaRuntime::FromArtifact(
-        SharedArtifact(), ServeRuntimeConfig());
-    ASSERT_TRUE(via_view.ok() && via_vectors.ok());
-
-    constexpr size_t kCount = 300;
-    std::vector<double> flat_out(kCount * 2);
-    const auto report_a = (*via_view)->ProcessInvocation(
-        core::BatchView(SharedInputs().data(), kCount, 2),
-        flat_out.data());
-
-    const auto bench = apps::MakeBenchmark("inversek2j");
-    const auto rows = bench->TestInputs();
-    const std::vector<std::vector<double>> batch(
-        rows.begin(), rows.begin() + kCount);
-    std::vector<std::vector<double>> vec_out;
-    const auto report_b =
-        (*via_vectors)->ProcessInvocation(batch, &vec_out);
-
-    EXPECT_EQ(report_a.fixes, report_b.fixes);
-    EXPECT_DOUBLE_EQ(report_a.output_error_pct,
-                     report_b.output_error_pct);
-    ASSERT_EQ(vec_out.size(), kCount);
-    for (size_t i = 0; i < kCount; ++i)
-        for (size_t o = 0; o < 2; ++o)
-            EXPECT_DOUBLE_EQ(vec_out[i][o], flat_out[i * 2 + o]);
-}
-
-#pragma GCC diagnostic pop
-
 // ------------------------------------------- Admission state machine
 
 TEST(AdmissionControllerTest, SheddingLadderOrdersByClass)
@@ -1055,6 +1015,43 @@ TEST(LoadGeneratorTest, OpenLoopRunAccountsForEveryArrival)
     const serve::LoadReport report2 = generator2.Run();
     engine2->Shutdown();
     EXPECT_EQ(report2.offered, report.offered);
+}
+
+TEST(LoadGeneratorTest, LatencyEndsAtCompletionNotCollection)
+{
+    serve::ServeConfig config;
+    config.shards = 1;
+    auto engine = MakeEngine(config);
+
+    // A future collected long after the engine finished keeps the
+    // engine's completion stamp.
+    const uint64_t submit_ns = obs::NowNs();
+    auto future = engine->Submit(MakeRequest(0, 4));
+    future.wait();
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    const uint64_t collect_ns = obs::NowNs();
+    const serve::InvocationResult result = future.get();
+    ASSERT_TRUE(result.status.ok());
+    EXPECT_GE(result.done_ns, submit_ns);
+    EXPECT_LE(result.done_ns + 25'000'000ull, collect_ns);
+
+    // Ten arrivals a second: each 4-element request completes within
+    // a few milliseconds, but the generator only collects it when it
+    // submits the next one, ~100 ms later. Its latencies must not
+    // follow the arrival gap.
+    serve::LoadGenConfig load;
+    load.rate_hz = 10.0;
+    load.duration_ns = 600'000'000ull;
+    load.elements = 4;
+    load.seed = 7;
+    load.input_pool = SharedInputs();
+    serve::LoadGenerator generator(*engine, load);
+    const serve::LoadReport report = generator.Run();
+    engine->Shutdown();
+    const serve::ClassStats total = report.Total();
+    ASSERT_GE(total.latencies_ns.size(), 2u);
+    for (double latency_ns : total.latencies_ns)
+        EXPECT_LT(latency_ns, 20e6);
 }
 
 }  // namespace
