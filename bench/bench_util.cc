@@ -82,8 +82,8 @@ EmitMetrics(const std::string& csv_dir, const std::string& name)
     for (const auto& h : snap.histograms) {
         if (h.count == 0)
             continue;
-        if (h.name == "npu.invoke_ns" || h.name == "runtime.invocation_ns"
-            || h.name == "recovery.drain_ns") {
+        if (h.name == "runtime.invocation_ns" ||
+            h.name == "recovery.drain_ns") {
             Inform("telemetry: %s n=%llu p50=%.0fns p90=%.0fns "
                    "p99=%.0fns",
                    h.name.c_str(),
